@@ -29,7 +29,8 @@ so every proxy's contribution is counted exactly once.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.tracer import current_tracer
 from ..sim.errors import ProtocolError
@@ -68,6 +69,13 @@ class LeaderElectionNode(Protocol):
 
         # Walk-tree state per (origin id, phase index).
         self.trees: Dict[Tuple[int, int], WalkTreeState] = {}
+        # Pending converge-casts as (next due round, origin, phase): a tree
+        # joins when its first token arrives over a port, waits for its
+        # REPORT send round, then for its COLLECT send round, then leaves.
+        self._convergecasts: List[Tuple[int, int, int]] = []
+        # The trees holding resident tokens whose WALK segment may still be
+        # open; the only trees a round's walk step has to look at.
+        self._walking: Dict[Tuple[int, int], WalkTreeState] = {}
         # Cumulative set of origins this node has been a proxy for.
         self.proxy_origins: Set[int] = set()
         # Latest phase in which this node participated in each origin's tree.
@@ -168,11 +176,15 @@ class LeaderElectionNode(Protocol):
         newly_joined = tree.first_arrival_offset is None
         tree.record_arrival(offset, in_port)
         tree.add_resident(steps, count)
+        if tree.has_unfinished_tokens():
+            self._walking[(origin, phase)] = tree
         if tree.is_proxy:
             self.proxy_origins.add(origin)
         if newly_joined and tree.parent_port is not None:
             # Schedule the converge-cast send slots for this tree.
-            self.ctx.wake_at(window.report_send_round(offset))
+            report_round = window.report_send_round(offset)
+            heapq.heappush(self._convergecasts, (report_round, origin, phase))
+            self.ctx.wake_at(report_round)
             self.ctx.wake_at(window.collect_send_round(offset))
 
     def _handle_report(self, payload: Dict[str, object]) -> None:
@@ -253,9 +265,8 @@ class LeaderElectionNode(Protocol):
     # -------------------------------------------------------- schedule logic
     def _run_schedule_duties(self) -> None:
         round_number = self.ctx.round
-        window, _segment = self.schedule.locate(round_number)
-
         if self.is_contender and self.active and not self.stopped:
+            window, _segment = self.schedule.locate(round_number)
             if round_number == max(1, window.start) and window.start >= 0:
                 self._begin_phase(window)
             if round_number == window.distribute_start and window.index == self.current_phase:
@@ -283,6 +294,8 @@ class LeaderElectionNode(Protocol):
         tree = self._tree(self.identifier, window.index, create=True)
         tree.record_arrival(0, None)
         tree.add_resident(0, walks)
+        if tree.has_unfinished_tokens():
+            self._walking[(self.identifier, window.index)] = tree
         if tree.is_proxy:
             self.proxy_origins.add(self.identifier)
         # Wake-ups for the fixed points of this phase.
@@ -369,19 +382,29 @@ class LeaderElectionNode(Protocol):
             self.ctx.send(port, message)
 
     def _send_due_convergecasts(self, round_number: int) -> None:
-        for (origin, phase), tree in sorted(self.trees.items()):
-            if tree.parent_port is None or tree.first_arrival_offset is None:
-                continue
+        pending = self._convergecasts
+        due = []
+        while pending and pending[0][0] <= round_number:
+            _round, origin, phase = heapq.heappop(pending)
+            due.append((origin, phase))
+        # Sends leave in (origin, phase) order, report before collect per
+        # tree: the fault injector draws drop/duplicate decisions in outbox
+        # order, so this order is part of every faulty run's outcome.
+        for origin, phase in sorted(due):
+            tree = self.trees[(origin, phase)]
             window = self.schedule.window(phase)
             offset = tree.first_arrival_offset
             if not tree.report_sent and round_number >= window.report_send_round(offset):
                 if round_number < window.distribute_start:
                     self._send_report(tree)
                 tree.report_sent = True
-            if not tree.collect_sent and round_number >= window.collect_send_round(offset):
+            collect_round = window.collect_send_round(offset)
+            if not tree.collect_sent and round_number >= collect_round:
                 if round_number < window.decide_round:
                     self._send_collect(tree)
                 tree.collect_sent = True
+            if not tree.collect_sent:
+                heapq.heappush(pending, (collect_round, origin, phase))
 
     def _send_report(self, tree: WalkTreeState) -> None:
         tree.local_report_contribution(self.proxy_origins)
@@ -412,14 +435,22 @@ class LeaderElectionNode(Protocol):
 
     # ------------------------------------------------------------ walk logic
     def _advance_walks(self) -> None:
+        walking = self._walking
         round_number = self.ctx.round
-        for (origin, phase), tree in sorted(self.trees.items()):
-            if not tree.has_unfinished_tokens():
-                continue
+        # Sorted (origin, phase) order fixes the per-node RNG draw order and
+        # the outbox order, both of which the outcomes depend on.
+        for key in sorted(walking):
+            origin, phase = key
+            tree = walking[key]
             window = self.schedule.window(phase)
-            if not window.walk_start <= round_number < window.report_start:
+            if round_number >= window.report_start:
+                # The WALK segment has closed: these tokens (e.g. delayed by
+                # an adversary past the segment) can never advance again.
+                del walking[key]
                 continue
             outgoing = tree.advance_one_round(self.ctx.rng, self.ctx.degree)
+            if not tree.has_unfinished_tokens():
+                del walking[key]
             if tree.is_proxy:
                 self.proxy_origins.add(origin)
             if not outgoing:
@@ -441,11 +472,8 @@ class LeaderElectionNode(Protocol):
         # segment closed can never advance again, and waking for it forever
         # would busy-loop the node until the round cap.
         next_round = self.ctx.round + 1
-        for (_origin, phase), tree in self.trees.items():
-            if not tree.has_unfinished_tokens():
-                continue
-            window = self.schedule.window(phase)
-            if next_round < window.report_start:
+        for _origin, phase in self._walking:
+            if next_round < self.schedule.window(phase).report_start:
                 return True
         return False
 

@@ -20,9 +20,11 @@ offsets are relative to the phase start; phase ``i + 1`` starts right after.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from .params import ElectionParameters
 
@@ -102,10 +104,21 @@ class PhaseWindow:
 
 
 class PhaseSchedule:
-    """Computes phase windows for a given parameter set."""
+    """Computes phase windows for a given parameter set.
+
+    Windows are memoised: the schedule keeps every :class:`PhaseWindow` it
+    has handed out in a list extended on demand, together with the phase
+    ends as prefix sums, so :meth:`window` is a list lookup and
+    :meth:`locate` a binary search over the ends.  Every node asks for the
+    window of each tree it holds in every round it is active, which makes
+    this the engine's hottest lookup.
+    """
 
     def __init__(self, params: ElectionParameters) -> None:
         self._params = params
+        self._windows: List[PhaseWindow] = []
+        # ``_ends[i]`` is ``_windows[i].end``, the first round of phase i + 1.
+        self._ends: List[int] = []
 
     def walk_length(self, phase_index: int) -> int:
         """Walk length ``L_i`` of phase ``phase_index`` (guess-and-double)."""
@@ -120,41 +133,41 @@ class PhaseSchedule:
             + self._params.segment_margin
         )
 
-    def window(self, phase_index: int) -> PhaseWindow:
-        """Absolute :class:`PhaseWindow` of phase ``phase_index``."""
-        start = 0
-        for i in range(phase_index):
-            start += 6 * self.segment_length(i)
-        return PhaseWindow(
-            index=phase_index,
-            walk_length=self.walk_length(phase_index),
-            segment_length=self.segment_length(phase_index),
+    def _append_window(self) -> None:
+        index = len(self._windows)
+        start = self._ends[-1] if self._ends else 0
+        segment = self.segment_length(index)
+        window = PhaseWindow(
+            index=index,
+            walk_length=self.walk_length(index),
+            segment_length=segment,
             start=start,
         )
+        self._windows.append(window)
+        self._ends.append(start + 6 * segment)
+
+    def window(self, phase_index: int) -> PhaseWindow:
+        """Absolute :class:`PhaseWindow` of phase ``phase_index``."""
+        if phase_index < 0:
+            raise ValueError("phase_index must be non-negative")
+        windows = self._windows
+        while len(windows) <= phase_index:
+            self._append_window()
+        return windows[phase_index]
 
     def windows(self) -> Iterator[PhaseWindow]:
         """Yield phase windows indefinitely (callers break out)."""
-        start = 0
-        index = 0
-        while True:
-            seg = self.segment_length(index)
-            yield PhaseWindow(
-                index=index,
-                walk_length=self.walk_length(index),
-                segment_length=seg,
-                start=start,
-            )
-            start += 6 * seg
-            index += 1
+        return map(self.window, itertools.count())
 
     def locate(self, round_number: int) -> Tuple[PhaseWindow, Segment]:
         """Phase window and segment containing the absolute ``round_number``."""
         if round_number < 0:
             raise ValueError("round_number must be non-negative")
-        for window in self.windows():
-            if round_number < window.end:
-                return window, window.segment_of(round_number)
-        raise AssertionError("unreachable")  # pragma: no cover
+        ends = self._ends
+        while not ends or ends[-1] <= round_number:
+            self._append_window()
+        window = self._windows[bisect.bisect_right(ends, round_number)]
+        return window, window.segment_of(round_number)
 
     def phases_needed_for_walk_length(self, walk_length: int) -> int:
         """Smallest phase index whose walk length reaches ``walk_length``."""

@@ -16,6 +16,7 @@ from repro.core import ElectionParameters
 from repro.core.result import KIND_CLASSIFICATIONS, TrialOutcome
 from repro.exec import (
     BatchRunner,
+    ExecutionProfile,
     GraphSpec,
     TrialSpec,
     algorithm_names,
@@ -139,11 +140,11 @@ class TestUnifiedExecution:
                 for result in results
             ]
 
-        reference = signature(BatchRunner(backend="serial").run(specs))
+        reference = signature(BatchRunner(profile=ExecutionProfile(backend="serial")).run(specs))
         for backend in backend_names():
             if backend == "serial":
                 continue
-            results = BatchRunner(workers=2, backend=backend).run(specs)
+            results = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend)).run(specs)
             assert signature(results) == reference, backend
 
     def test_non_trial_outcome_return_is_a_registration_bug(self):

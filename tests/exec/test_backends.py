@@ -10,6 +10,7 @@ from repro.exec import (
     BatchRunner,
     CommandBackend,
     ExecutionBackend,
+    ExecutionProfile,
     GraphSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -95,7 +96,7 @@ class TestEnvOverride:
 
     def test_explicit_backend_beats_the_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "bogus")
-        runner = BatchRunner(workers=1, backend="serial")
+        runner = BatchRunner(workers=1, profile=ExecutionProfile(backend="serial"))
         runner.run_sweep(_sweep(trials=1))
         assert runner.last_backend_name == "serial"
 
@@ -113,7 +114,7 @@ class TestCallerOwnedLifecycle:
     def test_backend_instance_serves_multiple_batches(self):
         """A caller-owned pool is not closed by the runner between runs."""
         with WorkerPoolBackend(workers=2) as backend:
-            runner = BatchRunner(workers=2, backend=backend)
+            runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
             first = runner.run_sweep(_sweep())
             pids = set(backend.worker_pids())
             second = runner.run_sweep(_sweep())
@@ -126,7 +127,7 @@ class TestCallerOwnedLifecycle:
         pinned at that size for the rest of its life."""
         single = _sweep(trials=1).expand()[:1]
         with ProcessPoolBackend(workers=2) as backend:
-            runner = BatchRunner(workers=2, backend=backend)
+            runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
             runner.run(single)  # a 1-trial batch only needs 1 process
             assert backend._pool_size == 1
             runner.run_sweep(_sweep(trials=2))
@@ -146,8 +147,10 @@ class TestCommandBackend:
         """The local worker entrypoint behind the command template produces
         the exact serial outcomes (the satellite's round-trip pin)."""
         sweep = _sweep()
-        reference = BatchRunner(backend="serial").run_sweep(sweep)
-        dispatched = BatchRunner(workers=2, backend=CommandBackend(jobs=2)).run_sweep(sweep)
+        reference = BatchRunner(profile=ExecutionProfile(backend="serial")).run_sweep(sweep)
+        dispatched = BatchRunner(
+            workers=2, profile=ExecutionProfile(backend=CommandBackend(jobs=2))
+        ).run_sweep(sweep)
         assert _signature(dispatched) == _signature(reference)
 
     def test_string_template_is_shell_split(self):
@@ -158,15 +161,15 @@ class TestCommandBackend:
         backend = CommandBackend(
             template=[sys.executable, "-c", "import sys; sys.exit(3)"]
         )
-        results = BatchRunner(on_error="capture", backend=backend).run_sweep(_sweep())
+        runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
+        results = runner.run_sweep(_sweep())
         assert all(result.failed for result in results)
         assert all("exit status 3" in result.error for result in results)
 
     def test_garbage_output_captures_the_whole_chunk(self):
         backend = CommandBackend(template=[sys.executable, "-c", "print('not json')"])
-        results = BatchRunner(on_error="capture", backend=backend).run_sweep(
-            _sweep(trials=1)
-        )
+        runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
+        results = runner.run_sweep(_sweep(trials=1))
         assert all("unusable response" in result.error for result in results)
 
     def test_failing_command_raises_in_raise_mode(self):
@@ -174,11 +177,12 @@ class TestCommandBackend:
             template=[sys.executable, "-c", "import sys; sys.exit(3)"]
         )
         with pytest.raises(TrialExecutionError, match="exit status 3"):
-            BatchRunner(backend=backend).run_sweep(_sweep(trials=1))
+            BatchRunner(profile=ExecutionProfile(backend=backend)).run_sweep(_sweep(trials=1))
 
     def test_chunking_covers_every_trial_exactly_once(self):
         backend = CommandBackend(chunk_size=3, jobs=2)
-        results = BatchRunner(workers=2, backend=backend).run_sweep(_sweep(trials=4))
+        runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
+        results = runner.run_sweep(_sweep(trials=4))
         assert [result.spec.label for result in results] == ["n=12"] * 4 + ["n=16"] * 4
 
     def test_rejects_bad_configuration(self):
@@ -213,7 +217,7 @@ class TestInlineFallback:
             ),
         ]
         with WorkerPoolBackend(workers=1) as backend:
-            results = BatchRunner(backend=backend).run(specs)
+            results = BatchRunner(profile=ExecutionProfile(backend=backend)).run(specs)
         assert [result.failed for result in results] == [False, False]
         # Identical trials, identical outcomes -- wherever each one ran.
         assert outcome_to_dict(results[0].outcome) == outcome_to_dict(results[1].outcome)

@@ -22,6 +22,7 @@ import pytest
 from repro.core import ElectionParameters
 from repro.exec import (
     BatchRunner,
+    ExecutionProfile,
     GraphSpec,
     ResultCache,
     TrialSpec,
@@ -122,7 +123,9 @@ class TestWorkerDeath:
         specs = _specs(marker)
 
         with _backend(chaos_module) as backend:
-            runner = BatchRunner(cache=cache, on_error="capture", backend=backend)
+            runner = BatchRunner(
+                cache=cache, on_error="capture", profile=ExecutionProfile(backend=backend)
+            )
             results = runner.run(specs)
             assert backend.deaths == 1
             assert os.path.exists(marker), "the chaos trial ran on a worker"
@@ -135,7 +138,7 @@ class TestWorkerDeath:
         # re-executes -- and succeeds, because the marker now exists.
         with _backend(chaos_module) as backend:
             resumed = BatchRunner(
-                cache=cache, on_error="capture", backend=backend
+                cache=cache, on_error="capture", profile=ExecutionProfile(backend=backend)
             ).run(specs)
             assert backend.deaths == 0
         assert [result.from_cache for result in resumed] == [True, False, True, True]
@@ -147,7 +150,7 @@ class TestWorkerDeath:
         the rest of the batch -- and the next batch -- on a fresh subprocess."""
         marker = str(tmp_path / "marker")
         with _backend(chaos_module, workers=1) as backend:
-            runner = BatchRunner(on_error="capture", backend=backend)
+            runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
             first = runner.run(_specs(marker))
             # One slot serves the whole batch in order: the two trials after
             # the kill already ran on the respawned worker.
@@ -211,7 +214,8 @@ class TestWorkerDeath:
             max_respawns_per_slot=1,
         )
         with backend:
-            results = BatchRunner(on_error="capture", backend=backend).run(killers)
+            runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
+            results = runner.run(killers)
         assert [result.failed for result in results] == [True, True, True]
         assert "worker died" in results[0].error
         assert "worker died" in results[1].error
@@ -240,7 +244,7 @@ class TestWorkerHang:
         )
         after = TrialSpec(graph=GraphSpec("clique", (10,)), algorithm="flood_max", seed=2)
         with self._hang_backend(chaos_module) as backend:
-            runner = BatchRunner(on_error="capture", backend=backend)
+            runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
             results = runner.run([good, staller, after])
             assert backend.hangs == 1
             assert backend.deaths == 0
@@ -263,7 +267,8 @@ class TestWorkerHang:
         )
         aggregator = MetricsAggregator()
         with self._hang_backend(chaos_module) as backend, use_tracer(Tracer(aggregator)):
-            results = BatchRunner(on_error="capture", backend=backend).run([sleeper])
+            runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
+            results = runner.run([sleeper])
         assert [result.failed for result in results] == [False]
         assert backend.hangs == 0
         counters = aggregator.snapshot()["counters"]
